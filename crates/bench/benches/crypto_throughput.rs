@@ -1,6 +1,6 @@
 //! The crypto hot-path bench: what the fixed-base tables, GLV + wNAF
-//! double multiplication, binary-GCD inversion and parallel verification
-//! bought, measured **against the retained pre-optimization loop**
+//! double multiplication, binary-GCD inversion and parallel batch
+//! recovery bought, measured **against the retained pre-optimization loop**
 //! (`parp_crypto::baseline`) compiled into this same binary.
 //!
 //! Four sections:
@@ -15,8 +15,8 @@
 //!    speedup over the sequential baseline loop combines the algorithmic
 //!    win with whatever cores the host has.
 //! 4. **Quorum wall-clock** — end-to-end gateway quorum reads at k = 3
-//!    vs single verified reads, wall time, exercising the parallel leg
-//!    fan-out in `parp-net`/`parp-gateway`.
+//!    vs single verified reads, wall time, through the leg fan-out in
+//!    `parp-net`/`parp-gateway` (legs run inline, one after another).
 //!
 //! Emits `BENCH_crypto.json` at the workspace root (a CI artifact
 //! alongside `BENCH_batch.json` and `BENCH_gateway.json`).

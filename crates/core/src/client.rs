@@ -747,6 +747,43 @@ impl LightClient {
         }
     }
 
+    /// Drops the in-flight entry (single or batch) keyed by `hash` whose
+    /// request never reached `provider` — the simulator's hook for a
+    /// request lost in transit or refused. The channel's `spent` is
+    /// untouched: the provider never accepted the payment, so a retried
+    /// call re-presents the same cumulative amount. A request the
+    /// provider *served* but whose response never arrived is settled
+    /// with [`Self::commit_undelivered`] instead.
+    pub fn forget_pending(&mut self, provider: Address, hash: &H256) {
+        if let Some(session) = self.sessions.get_mut(&provider) {
+            session.pending.remove(hash);
+            session.pending_batches.remove(hash);
+        }
+    }
+
+    /// Settles the in-flight entry (single or batch) keyed by `hash`
+    /// that `provider` served but whose response never reached the
+    /// client (it arrived past the deadline). The provider recorded the
+    /// payment and holds σ_pay for it, so the amount is committed, as
+    /// on an invalid response: the next request offers the following
+    /// amount, which the provider accepts, instead of replaying one it
+    /// refuses.
+    pub fn commit_undelivered(&mut self, provider: Address, hash: &H256) {
+        let Some(session) = self.sessions.get_mut(&provider) else {
+            return;
+        };
+        let amount = match session.pending.remove(hash) {
+            Some(pending) => Some(pending.request.amount),
+            None => session
+                .pending_batches
+                .remove(hash)
+                .map(|pending| pending.request.amount),
+        };
+        if let Some(amount) = amount {
+            self.commit_payment(provider, amount);
+        }
+    }
+
     /// Removes the pending single request matching `hash` from whichever
     /// session holds it (the hash pairing is provider-agnostic: hashes
     /// are unforgeable). When the echoed hash matches nothing —
@@ -757,25 +794,6 @@ impl LightClient {
     /// single-channel behaviour). The fallback never crosses sessions —
     /// a garbage response from one provider must not consume, and
     /// condemn, another provider's in-flight request.
-    /// Drops a pending single-call entry for `provider` without
-    /// processing any response — the simulator's hook for a request or
-    /// response lost in transit (drop, crash, timeout). The channel's
-    /// `spent` is untouched: it only advances when a response is
-    /// processed, so a retried call re-presents the same cumulative
-    /// amount and the provider is never paid for the lost exchange.
-    pub fn forget_pending(&mut self, provider: Address, hash: &H256) {
-        if let Some(session) = self.sessions.get_mut(&provider) {
-            session.pending.remove(hash);
-        }
-    }
-
-    /// Batch analogue of [`Self::forget_pending`].
-    pub fn forget_pending_batch(&mut self, provider: Address, hash: &H256) {
-        if let Some(session) = self.sessions.get_mut(&provider) {
-            session.pending_batches.remove(hash);
-        }
-    }
-
     fn take_pending(
         &mut self,
         hash: &H256,
@@ -887,10 +905,10 @@ impl LightClient {
     /// Verifies a response against its pending request ((D) in Fig. 5) and
     /// updates the channel ledger.
     ///
-    /// On a *valid* response the committed amount advances. On an
-    /// *invalid* one the pending payment is rolled back (it was never
-    /// acknowledged) and the caller should fail over to another node. On
-    /// *fraud* the returned evidence supports an on-chain proof.
+    /// The committed amount advances on every outcome: the node holds
+    /// the payment signature whatever it answered. On an *invalid*
+    /// response the caller should fail over to another node; on *fraud*
+    /// the returned evidence supports an on-chain proof.
     ///
     /// # Errors
     ///
@@ -919,113 +937,6 @@ impl LightClient {
         self.process_response_scoped(response, Some(provider))
     }
 
-    /// Verifies many responses that arrived concurrently, one per
-    /// provider — the gateway's quorum fan-in. Pairing and ledger
-    /// updates stay sequential (they mutate the session map), but the
-    /// §V-D classifications — a signature recovery plus a Merkle proof
-    /// check each — are **independent pure functions** of the paired
-    /// exchanges and the header store, so they fan out across scoped
-    /// worker threads (the `parp-runtime` shard idiom, via
-    /// [`parp_crypto::par_map`]). Outcomes come back in leg order.
-    pub fn process_responses_from(
-        &mut self,
-        legs: &[(Address, ParpResponse)],
-    ) -> Vec<Result<ProcessOutcome, ClientError>> {
-        // Phase 1 (sequential, &mut self): pair each response with its
-        // pending request, scoped to the connection it arrived over.
-        let paired: Vec<Result<(Address, PendingRequest), ClientError>> = legs
-            .iter()
-            .map(|(provider, response)| {
-                let (provider, pending) = self
-                    .take_pending(&response.request_hash, Some(*provider))
-                    .ok_or(ClientError::UnknownResponse)?;
-                Ok((provider, pending))
-            })
-            .collect();
-        // Phase 2 (parallel, &self): classify every paired exchange.
-        let work: Vec<(Address, &PendingRequest, &ParpResponse)> = paired
-            .iter()
-            .zip(legs.iter())
-            .filter_map(|(paired, (_, response))| {
-                paired.as_ref().ok().map(|(provider, pending)| {
-                    let full_node = self
-                        .sessions
-                        .get(provider)
-                        .and_then(|s| s.channel.as_ref())
-                        .expect("pending implies channel")
-                        .full_node;
-                    (full_node, pending, response)
-                })
-            })
-            .collect();
-        let mut classifications = parp_crypto::par_map(&work, |(full_node, pending, response)| {
-            classify_response(
-                &pending.request,
-                response,
-                *full_node,
-                pending.request_height,
-                |n| self.headers.get(&n).cloned(),
-            )
-        })
-        .into_iter();
-        // Phase 3 (sequential, &mut self): apply ledger updates and
-        // build outcomes in leg order.
-        paired
-            .into_iter()
-            .zip(legs.iter())
-            .map(|(paired, (_, response))| {
-                let (provider, pending) = paired?;
-                let classification = classifications.next().expect("one per paired leg");
-                Ok(self.apply_classification(provider, pending, response, classification))
-            })
-            .collect()
-    }
-
-    /// Applies a §V-D classification to the channel ledger and shapes
-    /// the outcome — shared by the single-response path and the parallel
-    /// quorum fan-in.
-    fn apply_classification(
-        &mut self,
-        provider: Address,
-        pending: PendingRequest,
-        response: &ParpResponse,
-        classification: Classification,
-    ) -> ProcessOutcome {
-        match classification {
-            Classification::Valid => {
-                let proven = !response.proof.is_empty();
-                self.valid_responses += 1;
-                self.commit_payment(provider, pending.request.amount);
-                ProcessOutcome::Valid {
-                    result: response.result.clone(),
-                    proven,
-                }
-            }
-            Classification::Invalid(reason) => {
-                // Keep the pending payment un-committed; the node cannot
-                // redeem it without returning a verifiable response, but
-                // the client still counts it spent defensively (the node
-                // holds σ_a). Terminate per §V-D.
-                self.commit_payment(provider, pending.request.amount);
-                ProcessOutcome::Invalid(reason)
-            }
-            Classification::Fraudulent(verdict) => {
-                self.commit_payment(provider, pending.request.amount);
-                let header = self
-                    .headers
-                    .get(&response.block_number)
-                    .cloned()
-                    .expect("classification used this header");
-                ProcessOutcome::Fraud(Box::new(FraudEvidence {
-                    request: pending.request,
-                    response: response.clone(),
-                    header,
-                    verdict,
-                }))
-            }
-        }
-    }
-
     fn process_response_scoped(
         &mut self,
         response: &ParpResponse,
@@ -1051,7 +962,33 @@ impl LightClient {
             pending.request_height,
             |n| self.headers.get(&n).cloned(),
         );
-        Ok(self.apply_classification(provider, pending, response, classification))
+        // The node holds σ_a whatever the verdict: the payment counts as
+        // committed on every outcome (defensively on invalid and
+        // fraudulent ones; §V-D then terminates the session).
+        self.commit_payment(provider, pending.request.amount);
+        Ok(match classification {
+            Classification::Valid => {
+                self.valid_responses += 1;
+                ProcessOutcome::Valid {
+                    result: response.result.clone(),
+                    proven: !response.proof.is_empty(),
+                }
+            }
+            Classification::Invalid(reason) => ProcessOutcome::Invalid(reason),
+            Classification::Fraudulent(verdict) => {
+                let header = self
+                    .headers
+                    .get(&response.block_number)
+                    .cloned()
+                    .expect("classification used this header");
+                ProcessOutcome::Fraud(Box::new(FraudEvidence {
+                    request: pending.request,
+                    response: response.clone(),
+                    header,
+                    verdict,
+                }))
+            }
+        })
     }
 
     /// Interprets a liveness-probe result: `true` when the channel is

@@ -355,66 +355,22 @@ impl FullNode {
         executor: &mut ParpExecutor,
         engine: &mut dyn ProofEngine,
     ) -> Result<ParpResponse, ServeError> {
-        if let RpcCall::SendRawTransaction { .. } = request.call {
-            // The only mutating call: verify, mine, prove inclusion.
-            let verify_start = self.stage_start();
-            self.verify_request(request, executor)?;
-            self.stage_verify(verify_start);
-            let request_height = chain
-                .block_number_by_hash(&request.block_hash)
-                .ok_or(ServeError::UnknownBlockHash(request.block_hash))?;
-            let (block_number, result, proof) =
-                self.execute_write(&request.call, chain, executor, engine)?;
-            return Ok(self.finish_response(request, request_height, block_number, result, proof));
-        }
-        self.handle_read_request(request, chain, executor, engine)
-    }
-
-    /// Serves a **read-only** request against a shared chain reference —
-    /// the entry point that lets a fan-out (e.g. a gateway quorum) serve
-    /// several nodes' exchanges concurrently over one `&Blockchain`:
-    /// nothing here mutates chain state, so legs only need disjoint
-    /// `&mut FullNode`s. Byte-identical to [`FullNode::handle_request`]
-    /// for every non-write call.
-    ///
-    /// # Errors
-    ///
-    /// As [`FullNode::handle_request`], plus
-    /// [`ServeError::UnbatchableCall`] when handed the write call this
-    /// path cannot serve.
-    pub fn handle_read_request(
-        &mut self,
-        request: &ParpRequest,
-        chain: &Blockchain,
-        executor: &ParpExecutor,
-        engine: &mut dyn ProofEngine,
-    ) -> Result<ParpResponse, ServeError> {
-        if let RpcCall::SendRawTransaction { .. } = request.call {
-            return Err(ServeError::UnbatchableCall);
-        }
         let verify_start = self.stage_start();
         self.verify_request(request, executor)?;
         self.stage_verify(verify_start);
         let request_height = chain
             .block_number_by_hash(&request.block_hash)
             .ok_or(ServeError::UnknownBlockHash(request.block_hash))?;
-        let proof_start = self.stage_start();
-        let (block_number, result, proof) =
-            self.execute_read(&request.call, chain, executor, engine)?;
-        self.stage_proof(proof_start);
-        Ok(self.finish_response(request, request_height, block_number, result, proof))
-    }
-
-    /// Payment bookkeeping + response signing, shared by the write and
-    /// read serving paths.
-    fn finish_response(
-        &mut self,
-        request: &ParpRequest,
-        request_height: u64,
-        block_number: u64,
-        result: Vec<u8>,
-        proof: Vec<Vec<u8>>,
-    ) -> ParpResponse {
+        let (block_number, result, proof) = if let RpcCall::SendRawTransaction { .. } = request.call
+        {
+            // The only mutating call: mine, then prove inclusion.
+            self.execute_write(&request.call, chain, executor, engine)?
+        } else {
+            let proof_start = self.stage_start();
+            let read = self.execute_read(&request.call, chain, executor, engine)?;
+            self.stage_proof(proof_start);
+            read
+        };
         // Record the payment before responding: the signed cumulative
         // amount is the node's receivable.
         self.channels.insert(
@@ -433,8 +389,9 @@ impl FullNode {
         let sign_start = self.stage_start();
         let honest = ParpResponse::build(self.key.secret(), request, block_number, result, proof);
         self.stage_sign(sign_start);
-        self.misbehavior
-            .corrupt(request, honest, self.key.secret(), request_height)
+        Ok(self
+            .misbehavior
+            .corrupt(request, honest, self.key.secret(), request_height))
     }
 
     /// Serves one batched PARP request: verifies the envelope **once**
@@ -591,16 +548,11 @@ impl FullNode {
             .calls
             .iter()
             .all(|call| matches!(call, RpcCall::GetChannelStatus { .. }));
-        // The two envelope recoveries (request signature, payment
-        // signature) are independent ECDSA operations — recover them
-        // concurrently when a second core is available.
-        let (signer, payment_signer) =
-            parp_crypto::par_join(|| request.signer(), || request.payment_signer());
         self.verify_envelope(
             executor,
             request.channel_id,
-            signer,
-            payment_signer,
+            request.signer(),
+            request.payment_signer(),
             request.amount,
             is_liveness_probe,
             request.calls.len() as u64,
@@ -615,14 +567,11 @@ impl FullNode {
         executor: &ParpExecutor,
     ) -> Result<(), ServeError> {
         let is_liveness_probe = matches!(request.call, RpcCall::GetChannelStatus { .. });
-        // As in batch verification: the two recoveries are independent.
-        let (signer, payment_signer) =
-            parp_crypto::par_join(|| request.signer(), || request.payment_signer());
         self.verify_envelope(
             executor,
             request.channel_id,
-            signer,
-            payment_signer,
+            request.signer(),
+            request.payment_signer(),
             request.amount,
             is_liveness_probe,
             1,
@@ -787,7 +736,7 @@ impl FullNode {
         Ok((block, parp_rlp::encode_u64(index as u64), proof))
     }
 
-    /// Serves every non-mutating call against a shared chain reference.
+    /// Serves every non-mutating call.
     fn execute_read(
         &self,
         call: &RpcCall,

@@ -39,6 +39,6 @@ pub use ecdsa::{recover, recover_address, sign, verify, Signature, SignatureErro
 pub use field::FieldElement;
 pub use keccak::{hmac_keccak256, keccak256, keccak256_batch, keccak256_concat, Keccak256};
 pub use keys::{InvalidSecretKey, KeyPair, PublicKey, SecretKey};
-pub use parallel::{par_join, par_map, recover_addresses_parallel};
+pub use parallel::{par_map, recover_addresses_parallel};
 pub use point::{batch_to_affine, double_scalar_mul, mul_generator, AffinePoint, JacobianPoint};
 pub use scalar::Scalar;

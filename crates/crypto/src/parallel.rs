@@ -1,14 +1,13 @@
-//! Scoped-thread fan-out for independent crypto work.
+//! Scoped-thread fan-out for many independent signature recoveries.
 //!
-//! Every PARP verification site runs several **independent** ECDSA
-//! operations: a server validates a request signature and a payment
-//! signature, a gateway cross-checks `k` quorum responses, a batch
-//! verifier judges N items. These helpers spread that work across
-//! `std::thread::scope` workers — the same per-batch worker idiom as
-//! `parp-runtime`'s sharded multiproof executor: workers live exactly as
-//! long as the call, nothing persists, and on a single-core host (or for
-//! tiny inputs) everything runs inline so the fan-out can never cost more
-//! than the sequential loop it replaces.
+//! [`recover_addresses_parallel`] spreads a large set of independent
+//! ECDSA recoveries across `std::thread::scope` workers — the same
+//! per-call worker idiom as `parp-runtime`'s sharded multiproof
+//! executor: workers live exactly as long as the call, nothing
+//! persists, and on a single-core host (or for tiny inputs) everything
+//! runs inline. The exchange path does not use it: a PARP exchange
+//! recovers two or three signatures, too few to pay for a spawn, so
+//! those recoveries run inline.
 
 use crate::ecdsa::{recover_address, Signature, SignatureError};
 use parp_primitives::{Address, H256};
@@ -20,25 +19,6 @@ fn thread_budget() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(16)
-}
-
-/// Runs two independent closures, concurrently when a second core is
-/// available, inline otherwise.
-pub fn par_join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    if thread_budget() < 2 {
-        return (fa(), fb());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(fa);
-        let b = fb();
-        (handle.join().expect("par_join worker panicked"), b)
-    })
 }
 
 /// Maps `f` over `items`, fanning out across scoped workers when the
@@ -92,8 +72,7 @@ where
 
 /// Recovers the signing addresses of many independent `(digest,
 /// signature)` pairs, in input order, across scoped workers — the batch
-/// analogue of [`recover_address`] used by the batch-verification and
-/// quorum paths.
+/// analogue of [`recover_address`].
 pub fn recover_addresses_parallel(
     items: &[(H256, Signature)],
 ) -> Vec<Result<Address, SignatureError>> {
@@ -107,12 +86,6 @@ mod tests {
     use super::*;
     use crate::keccak::keccak256;
     use crate::{sign, SecretKey};
-
-    #[test]
-    fn par_join_runs_both() {
-        let (a, b) = par_join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
 
     #[test]
     fn par_map_preserves_order() {

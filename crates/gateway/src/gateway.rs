@@ -6,8 +6,11 @@ use crate::policy::SelectionPolicy;
 use crate::reputation::ReputationBook;
 use crate::resilience::{CircuitBreaker, ResilienceConfig};
 use parp_contracts::{FraudVerdict, RpcCall};
-use parp_core::{ClientState, InvalidReason, LightClient, ProcessBatchOutcome, ProcessOutcome};
-use parp_net::{Network, NodeId, SimError};
+use parp_core::{
+    BatchFraudEvidence, ClientState, FraudEvidence, InvalidReason, LightClient,
+    ProcessBatchOutcome, ProcessOutcome,
+};
+use parp_net::{ExchangeStats, Network, NodeId, SimError};
 use parp_primitives::{Address, U256};
 use parp_telemetry::{ArgValue, Counter, Telemetry, Tracer};
 use std::collections::{HashMap, HashSet};
@@ -628,40 +631,18 @@ impl Gateway {
         }
     }
 
-    /// Submits fraud evidence through a witness node (§IV-F). Returns
-    /// whether the proof was accepted on-chain.
-    fn submit_fraud(
-        &mut self,
-        net: &mut Network,
-        offender: Address,
-        evidence: &parp_core::FraudEvidence,
-    ) -> bool {
+    /// Submits fraud evidence of either exchange shape through a
+    /// witness node (§IV-F). Returns whether the proof was accepted
+    /// on-chain.
+    fn submit_fraud(&mut self, net: &mut Network, offender: Address, evidence: &Evidence) -> bool {
         let Some(witness_id) = self.pick_witness(net, offender) else {
             return false;
         };
-        let accepted = net.report_fraud(evidence, witness_id).unwrap_or(false);
-        if accepted {
-            self.fraud_proofs_submitted += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.fraud_proofs.inc();
-            }
+        let accepted = match evidence {
+            Evidence::Single(evidence) => net.report_fraud(evidence, witness_id),
+            Evidence::Batch(evidence) => net.report_batch_fraud(evidence, witness_id),
         }
-        accepted
-    }
-
-    /// Batch analogue of [`Gateway::submit_fraud`].
-    fn submit_batch_fraud(
-        &mut self,
-        net: &mut Network,
-        offender: Address,
-        evidence: &parp_core::BatchFraudEvidence,
-    ) -> bool {
-        let Some(witness_id) = self.pick_witness(net, offender) else {
-            return false;
-        };
-        let accepted = net
-            .report_batch_fraud(evidence, witness_id)
-            .unwrap_or(false);
+        .unwrap_or(false);
         if accepted {
             self.fraud_proofs_submitted += 1;
             if let Some(metrics) = &self.metrics {
@@ -699,151 +680,9 @@ impl Gateway {
     /// ([`GatewayError::Deadline`] — bounded, never a hang). Never
     /// returns an unverified payload.
     pub fn call(&mut self, net: &mut Network, call: RpcCall) -> Result<Vec<u8>, GatewayError> {
-        self.refresh(net);
-        let budget_us = self.config.resilience.call_budget_us;
-        let started_us = net.now_us();
-        let mut attempts = 0usize;
-        loop {
-            let waited_us = net.now_us().saturating_sub(started_us);
-            if waited_us > budget_us {
-                return Err(GatewayError::Deadline {
-                    budget_us,
-                    waited_us,
-                });
-            }
-            let provider = self
-                .select_excluding(&HashSet::new(), net.now_us())
-                .ok_or(GatewayError::NoProviders)?;
-            if attempts > 0 {
-                self.trace_reselect(net.now_us(), provider);
-            }
-            match self.try_call_on(net, provider, call.clone()) {
-                Ok(Some(result)) => return Ok(result),
-                Ok(None) => {
-                    attempts += 1;
-                    if attempts > self.config.max_failovers {
-                        return Err(GatewayError::FailoversExhausted { attempts });
-                    }
-                    self.refresh(net);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One exchange attempt against `provider`. `Ok(Some)` is a
-    /// verified result; `Ok(None)` means the provider failed and a
-    /// failover was recorded; `Err` is unrecoverable.
-    fn try_call_on(
-        &mut self,
-        net: &mut Network,
-        provider: Address,
-        call: RpcCall,
-    ) -> Result<Option<Vec<u8>>, GatewayError> {
-        if let Err(e) = self.ensure_connected(net, provider) {
-            match e {
-                SimError::Chain(_) => return Err(GatewayError::Sim(e)),
-                _ => {
-                    self.reputation.entry(provider).record_refused();
-                    self.fail_over(net, provider, FailoverCause::Refused, false);
-                    return Ok(None);
-                }
-            }
-        }
-        let node_id = net.node_id_by_address(&provider).expect("connected");
-        let resilience = self.config.resilience;
-        let started_us = net.now_us();
-        let mut attempt = 0u32;
-        loop {
-            let outcome = net.parp_call(&mut self.client, node_id, call.clone());
-            // Retry the same provider in place on a timeout: the
-            // channel is intact and the lost exchange was never paid
-            // for, so the retry re-presents the same cumulative amount
-            // after a deterministic jittered backoff.
-            if matches!(outcome, Err(SimError::Timeout { .. }))
-                && attempt < resilience.max_retries
-                && net.now_us().saturating_sub(started_us) < resilience.call_budget_us
-            {
-                attempt += 1;
-                net.advance_clock(resilience.backoff_us(attempt, addr_salt(&provider)));
-                self.retries += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.retries.inc();
-                }
-                continue;
-            }
-            return self.apply_exchange_outcome(net, provider, outcome);
-        }
-    }
-
-    /// Scores one finished exchange and routes its failure modes —
-    /// shared by the serial failover path ([`Gateway::try_call_on`]) and
-    /// the parallel quorum fan-out, so both react identically to fraud,
-    /// invalid responses and refusals.
-    fn apply_exchange_outcome(
-        &mut self,
-        net: &mut Network,
-        provider: Address,
-        outcome: Result<(ProcessOutcome, parp_net::ExchangeStats), SimError>,
-    ) -> Result<Option<Vec<u8>>, GatewayError> {
-        match outcome {
-            Ok((ProcessOutcome::Valid { result, .. }, stats)) => {
-                self.reputation
-                    .entry(provider)
-                    .record_valid(stats.latency_us());
-                self.breaker_success(provider);
-                self.note_payment(provider);
-                self.mark_recovered(net.now_us());
-                self.calls_served += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.calls_served.inc();
-                }
-                Ok(Some(result))
-            }
-            // A bad response signature on an otherwise well-formed
-            // frame is transport corruption, not a §V-D lie — a
-            // re-signing provider would produce a *valid* signature
-            // over wrong data and land in the fraud arm instead.
-            Ok((ProcessOutcome::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
-                self.reputation.entry(provider).record_corruption();
-                self.breaker_failure(provider, net.now_us());
-                self.note_payment(provider);
-                self.fail_over(net, provider, FailoverCause::Corruption, false);
-                Ok(None)
-            }
-            Ok((ProcessOutcome::Invalid(reason), _)) => {
-                self.reputation.entry(provider).record_invalid();
-                self.note_payment(provider);
-                self.fail_over(net, provider, FailoverCause::Invalid(reason), false);
-                Ok(None)
-            }
-            Ok((ProcessOutcome::Fraud(evidence), _)) => {
-                self.reputation.entry(provider).record_fraud();
-                self.note_payment(provider);
-                let verdict = evidence.verdict;
-                let slashed = self.submit_fraud(net, provider, &evidence);
-                self.fail_over(net, provider, FailoverCause::Fraud(verdict), slashed);
-                Ok(None)
-            }
-            Err(SimError::Serve(_)) | Err(SimError::Client(_)) => {
-                self.reputation.entry(provider).record_refused();
-                self.fail_over(net, provider, FailoverCause::Refused, false);
-                Ok(None)
-            }
-            Err(SimError::Timeout { .. }) => {
-                self.reputation.entry(provider).record_timeout();
-                self.breaker_failure(provider, net.now_us());
-                self.fail_over(net, provider, FailoverCause::Timeout, false);
-                Ok(None)
-            }
-            Err(SimError::Crashed(_)) => {
-                self.reputation.entry(provider).record_refused();
-                self.breaker_failure(provider, net.now_us());
-                self.fail_over(net, provider, FailoverCause::Crash, false);
-                Ok(None)
-            }
-            Err(e) => Err(GatewayError::Sim(e)),
-        }
+        self.with_failover(net, |gateway, net, provider| {
+            gateway.try_call_on(net, provider, &call)
+        })
     }
 
     /// One verified **batched** read (the whole batch is the unit of
@@ -858,6 +697,26 @@ impl Gateway {
         net: &mut Network,
         calls: Vec<RpcCall>,
     ) -> Result<Vec<Vec<u8>>, GatewayError> {
+        // Batches fail over rather than retry in place: one batch
+        // already burns a whole serve quantum, so the in-place backoff
+        // loop is reserved for single calls.
+        self.with_failover(net, |gateway, net, provider| {
+            gateway.try_on(net, provider, 0, |net, client, node_id| {
+                net.parp_batch_call(client, node_id, calls.clone())
+            })
+        })
+    }
+
+    /// The select → exchange → fail over loop behind [`Gateway::call`]
+    /// and [`Gateway::call_batch`]: `attempt` runs one exchange against
+    /// the selected provider, and the loop re-selects until it returns a
+    /// verified result, the failover budget is spent, or the call's
+    /// simulated-time budget runs out.
+    fn with_failover<T>(
+        &mut self,
+        net: &mut Network,
+        mut attempt: impl FnMut(&mut Self, &mut Network, Address) -> Result<Option<T>, GatewayError>,
+    ) -> Result<T, GatewayError> {
         self.refresh(net);
         let budget_us = self.config.resilience.call_budget_us;
         let started_us = net.now_us();
@@ -876,75 +735,8 @@ impl Gateway {
             if attempts > 0 {
                 self.trace_reselect(net.now_us(), provider);
             }
-            if let Err(e) = self.ensure_connected(net, provider) {
-                match e {
-                    SimError::Chain(_) => return Err(GatewayError::Sim(e)),
-                    _ => {
-                        self.reputation.entry(provider).record_refused();
-                        self.fail_over(net, provider, FailoverCause::Refused, false);
-                        attempts += 1;
-                        if attempts > self.config.max_failovers {
-                            return Err(GatewayError::FailoversExhausted { attempts });
-                        }
-                        self.refresh(net);
-                        continue;
-                    }
-                }
-            }
-            let node_id = net.node_id_by_address(&provider).expect("connected");
-            let outcome = net.parp_batch_call(&mut self.client, node_id, calls.clone());
-            match outcome {
-                Ok((ProcessBatchOutcome::Valid { results, .. }, stats)) => {
-                    self.reputation
-                        .entry(provider)
-                        .record_valid(stats.latency_us());
-                    self.breaker_success(provider);
-                    self.note_payment(provider);
-                    self.mark_recovered(net.now_us());
-                    self.calls_served += results.len() as u64;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.calls_served.add(results.len() as u64);
-                    }
-                    return Ok(results);
-                }
-                // Corrupted batch frame: transport damage, not a lie
-                // (same reasoning as the single-call path).
-                Ok((ProcessBatchOutcome::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
-                    self.reputation.entry(provider).record_corruption();
-                    self.breaker_failure(provider, net.now_us());
-                    self.note_payment(provider);
-                    self.fail_over(net, provider, FailoverCause::Corruption, false);
-                }
-                Ok((ProcessBatchOutcome::Invalid(reason), _)) => {
-                    self.reputation.entry(provider).record_invalid();
-                    self.note_payment(provider);
-                    self.fail_over(net, provider, FailoverCause::Invalid(reason), false);
-                }
-                Ok((ProcessBatchOutcome::Fraud { evidence, .. }, _)) => {
-                    self.reputation.entry(provider).record_fraud();
-                    self.note_payment(provider);
-                    let verdict = evidence.verdict;
-                    let slashed = self.submit_batch_fraud(net, provider, &evidence);
-                    self.fail_over(net, provider, FailoverCause::Fraud(verdict), slashed);
-                }
-                Err(SimError::Serve(_)) | Err(SimError::Client(_)) => {
-                    self.reputation.entry(provider).record_refused();
-                    self.fail_over(net, provider, FailoverCause::Refused, false);
-                }
-                // Batches fail over rather than retry in place: one
-                // batch already burns a whole serve quantum, so the
-                // in-place backoff loop is reserved for single calls.
-                Err(SimError::Timeout { .. }) => {
-                    self.reputation.entry(provider).record_timeout();
-                    self.breaker_failure(provider, net.now_us());
-                    self.fail_over(net, provider, FailoverCause::Timeout, false);
-                }
-                Err(SimError::Crashed(_)) => {
-                    self.reputation.entry(provider).record_refused();
-                    self.breaker_failure(provider, net.now_us());
-                    self.fail_over(net, provider, FailoverCause::Crash, false);
-                }
-                Err(e) => return Err(GatewayError::Sim(e)),
+            if let Some(result) = attempt(self, net, provider)? {
+                return Ok(result);
             }
             attempts += 1;
             if attempts > self.config.max_failovers {
@@ -952,6 +744,133 @@ impl Gateway {
             }
             self.refresh(net);
         }
+    }
+
+    /// One single-call attempt against `provider`, retried in place on
+    /// a timeout (see [`Gateway::try_on`]).
+    fn try_call_on(
+        &mut self,
+        net: &mut Network,
+        provider: Address,
+        call: &RpcCall,
+    ) -> Result<Option<Vec<u8>>, GatewayError> {
+        let retries = self.config.resilience.max_retries;
+        self.try_on(net, provider, retries, |net, client, node_id| {
+            net.parp_call(client, node_id, call.clone())
+        })
+    }
+
+    /// One exchange attempt against `provider`. `Ok(Some)` is a
+    /// verified result; `Ok(None)` means the provider failed and a
+    /// failover was recorded; `Err` is unrecoverable. A timeout is
+    /// retried in place up to `retries` times: the channel is intact,
+    /// and a lost request was never paid for while a served one was
+    /// committed, so the retry offers an amount the provider accepts.
+    fn try_on<T, O: Into<Exchanged<T>>>(
+        &mut self,
+        net: &mut Network,
+        provider: Address,
+        retries: u32,
+        mut exchange: impl FnMut(&mut Network, &mut LightClient, NodeId) -> ExchangeResult<O>,
+    ) -> Result<Option<T>, GatewayError> {
+        let node_id = match self.ensure_connected(net, provider) {
+            Ok(node_id) => node_id,
+            Err(e @ SimError::Chain(_)) => return Err(GatewayError::Sim(e)),
+            Err(_) => {
+                self.reputation.entry(provider).record_refused();
+                self.fail_over(net, provider, FailoverCause::Refused, false);
+                return Ok(None);
+            }
+        };
+        let resilience = self.config.resilience;
+        let started_us = net.now_us();
+        let mut attempt = 0u32;
+        loop {
+            let outcome = exchange(net, &mut self.client, node_id);
+            // Retry after a deterministic jittered backoff.
+            if matches!(outcome, Err(SimError::Timeout { .. }))
+                && attempt < retries
+                && net.now_us().saturating_sub(started_us) < resilience.call_budget_us
+            {
+                attempt += 1;
+                net.advance_clock(resilience.backoff_us(attempt, addr_salt(&provider)));
+                self.retries += 1;
+                if let Some(metrics) = &self.metrics {
+                    metrics.retries.inc();
+                }
+                continue;
+            }
+            return self.apply_exchange_outcome(net, provider, outcome);
+        }
+    }
+
+    /// Scores one finished exchange, single or batched, and routes its
+    /// failure modes — shared by the failover loop and the quorum
+    /// fan-out, so every path reacts identically to fraud, invalid
+    /// responses, refusals and transport faults.
+    fn apply_exchange_outcome<T, O: Into<Exchanged<T>>>(
+        &mut self,
+        net: &mut Network,
+        provider: Address,
+        outcome: ExchangeResult<O>,
+    ) -> Result<Option<T>, GatewayError> {
+        match outcome.map(|(outcome, stats)| (outcome.into(), stats)) {
+            Ok((Exchanged::Valid { payload, calls }, stats)) => {
+                self.reputation
+                    .entry(provider)
+                    .record_valid(stats.latency_us());
+                self.breaker_success(provider);
+                self.note_payment(provider);
+                self.mark_recovered(net.now_us());
+                self.calls_served += calls;
+                if let Some(metrics) = &self.metrics {
+                    metrics.calls_served.add(calls);
+                }
+                return Ok(Some(payload));
+            }
+            // A bad response signature on an otherwise well-formed
+            // frame is transport corruption, not a §V-D lie — a
+            // re-signing provider would produce a *valid* signature
+            // over wrong data and land in the fraud arm instead.
+            Ok((Exchanged::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
+                self.reputation.entry(provider).record_corruption();
+                self.breaker_failure(provider, net.now_us());
+                self.note_payment(provider);
+                self.fail_over(net, provider, FailoverCause::Corruption, false);
+            }
+            Ok((Exchanged::Invalid(reason), _)) => {
+                self.reputation.entry(provider).record_invalid();
+                self.note_payment(provider);
+                self.fail_over(net, provider, FailoverCause::Invalid(reason), false);
+            }
+            Ok((Exchanged::Fraud(evidence), _)) => {
+                self.reputation.entry(provider).record_fraud();
+                self.note_payment(provider);
+                let slashed = self.submit_fraud(net, provider, &evidence);
+                self.fail_over(
+                    net,
+                    provider,
+                    FailoverCause::Fraud(evidence.verdict()),
+                    slashed,
+                );
+            }
+            Err(SimError::Serve(_)) | Err(SimError::Client(_)) => {
+                self.reputation.entry(provider).record_refused();
+                self.fail_over(net, provider, FailoverCause::Refused, false);
+            }
+            Err(SimError::Timeout { .. }) => {
+                self.reputation.entry(provider).record_timeout();
+                self.breaker_failure(provider, net.now_us());
+                self.fail_over(net, provider, FailoverCause::Timeout, false);
+            }
+            Err(SimError::Crashed(_)) => {
+                self.reputation.entry(provider).record_refused();
+                self.breaker_failure(provider, net.now_us());
+                self.fail_over(net, provider, FailoverCause::Crash, false);
+            }
+            Err(e) => return Err(GatewayError::Sim(e)),
+        }
+        Ok(None)
     }
 
     /// Fans one call out to `k` distinct providers and cross-checks the
@@ -988,7 +907,7 @@ impl Gateway {
         self.refresh(net);
         // Phase 1: draft k distinct providers, channels open, before any
         // exchange (keeps all legs at one chain height).
-        let mut drafted: Vec<Address> = Vec::new();
+        let mut drafted: Vec<(Address, NodeId)> = Vec::new();
         let mut skip: HashSet<Address> = HashSet::new();
         while drafted.len() < k {
             let Some(provider) = self.select_excluding(&skip, net.now_us()) else {
@@ -996,7 +915,7 @@ impl Gateway {
             };
             skip.insert(provider);
             match self.ensure_connected(net, provider) {
-                Ok(_) => drafted.push(provider),
+                Ok(node_id) => drafted.push((provider, node_id)),
                 Err(SimError::Chain(e)) => return Err(GatewayError::Sim(SimError::Chain(e))),
                 Err(_) => {
                     self.reputation.entry(provider).record_refused();
@@ -1019,29 +938,22 @@ impl Gateway {
                 });
             }
         }
-        // Phase 2: fan the k legs out **concurrently** over the
-        // network's scoped-worker transport (serving and §V-D
-        // verification run in parallel per leg; the simulated clock
-        // advances by the slowest leg instead of the sum). Failed legs
-        // go through the normal failover scoring, then replacements are
-        // drafted serially.
+        // Phase 2: fan the k legs out. They model concurrent flights, so
+        // the simulated clock advances by the slowest leg instead of the
+        // sum. Failed legs go through the normal failover scoring, then
+        // replacements are drafted serially.
         let mut votes: Vec<QuorumVote> = Vec::new();
-        let legs: Vec<(parp_net::NodeId, RpcCall)> = drafted
+        let legs: Vec<(NodeId, RpcCall)> = drafted
             .iter()
-            .map(|provider| {
-                let node_id = net
-                    .node_id_by_address(provider)
-                    .expect("drafted ⇒ connected");
-                (node_id, call.clone())
-            })
+            .map(|&(_, node_id)| (node_id, call.clone()))
             .collect();
         let outcomes = net.parp_call_fanout(&mut self.client, &legs);
         let mut any_leg_failed = false;
         let mut hedge_due = false;
-        for (provider, outcome) in drafted.iter().zip(outcomes) {
+        for (&(provider, _), outcome) in drafted.iter().zip(outcomes) {
             // Hedge trigger is judged against the EWMA *before* this
             // leg's own sample lands in it.
-            let prior_ewma = self.reputation.get(provider).latency_ewma_us;
+            let prior_ewma = self.reputation.get(&provider).latency_ewma_us;
             if let Ok((_, stats)) = &outcome {
                 let threshold = (prior_ewma.saturating_mul(resilience.hedge_factor_pct) / 100)
                     .max(resilience.hedge_min_us);
@@ -1051,11 +963,8 @@ impl Gateway {
             } else {
                 hedge_due = true;
             }
-            match self.apply_exchange_outcome(net, *provider, outcome)? {
-                Some(result) => votes.push(QuorumVote {
-                    provider: *provider,
-                    result,
-                }),
+            match self.apply_exchange_outcome(net, provider, outcome)? {
+                Some(result) => votes.push(QuorumVote { provider, result }),
                 None => any_leg_failed = true,
             }
         }
@@ -1072,7 +981,7 @@ impl Gateway {
                 if let Some(metrics) = &self.metrics {
                     metrics.hedges.inc();
                 }
-                match self.try_call_on(net, provider, call.clone())? {
+                match self.try_call_on(net, provider, &call)? {
                     Some(result) => votes.push(QuorumVote { provider, result }),
                     None => self.refresh(net),
                 }
@@ -1088,7 +997,7 @@ impl Gateway {
                 }
                 None => break,
             };
-            match self.try_call_on(net, provider, call.clone())? {
+            match self.try_call_on(net, provider, &call)? {
                 Some(result) => votes.push(QuorumVote { provider, result }),
                 None => self.refresh(net),
             }
@@ -1138,6 +1047,64 @@ impl Gateway {
             agreed,
             degraded,
             votes,
+        }
+    }
+}
+
+/// What one exchange entry point of the network returns.
+type ExchangeResult<O> = Result<(O, ExchangeStats), SimError>;
+
+/// A finished exchange, single or batched, as
+/// [`Gateway::apply_exchange_outcome`] routes it.
+enum Exchanged<T> {
+    /// The verified payload, answering `calls` calls.
+    Valid {
+        payload: T,
+        calls: u64,
+    },
+    Invalid(InvalidReason),
+    Fraud(Evidence),
+}
+
+/// Fraud evidence of either exchange shape.
+enum Evidence {
+    Single(Box<FraudEvidence>),
+    Batch(Box<BatchFraudEvidence>),
+}
+
+impl Evidence {
+    fn verdict(&self) -> FraudVerdict {
+        match self {
+            Evidence::Single(evidence) => evidence.verdict,
+            Evidence::Batch(evidence) => evidence.verdict,
+        }
+    }
+}
+
+impl From<ProcessOutcome> for Exchanged<Vec<u8>> {
+    fn from(outcome: ProcessOutcome) -> Self {
+        match outcome {
+            ProcessOutcome::Valid { result, .. } => Exchanged::Valid {
+                payload: result,
+                calls: 1,
+            },
+            ProcessOutcome::Invalid(reason) => Exchanged::Invalid(reason),
+            ProcessOutcome::Fraud(evidence) => Exchanged::Fraud(Evidence::Single(evidence)),
+        }
+    }
+}
+
+impl From<ProcessBatchOutcome> for Exchanged<Vec<Vec<u8>>> {
+    fn from(outcome: ProcessBatchOutcome) -> Self {
+        match outcome {
+            ProcessBatchOutcome::Valid { results, .. } => Exchanged::Valid {
+                calls: results.len() as u64,
+                payload: results,
+            },
+            ProcessBatchOutcome::Invalid(reason) => Exchanged::Invalid(reason),
+            ProcessBatchOutcome::Fraud { evidence, .. } => {
+                Exchanged::Fraud(Evidence::Batch(evidence))
+            }
         }
     }
 }

@@ -8,14 +8,16 @@ use parp_contracts::{
     build_module_call, ModuleCall, ParpBatchRequest, ParpBatchResponse, ParpExecutor, ParpRequest,
     ParpResponse, RpcCall, DISPUTE_WINDOW_BLOCKS,
 };
-use parp_core::{FullNode, LightClient, ProcessBatchOutcome, ProcessOutcome, ServeError};
+use parp_core::{
+    ClientError, FullNode, LightClient, ProcessBatchOutcome, ProcessOutcome, ServeError,
+};
 use parp_crypto::SecretKey;
-use parp_primitives::{Address, U256};
+use parp_primitives::{Address, H256, U256};
 use parp_runtime::Runtime;
 use parp_telemetry::{
     ArgValue, Counter, Histogram, StageRecorder, StageSample, Telemetry, TimeSource,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -897,119 +899,7 @@ impl Network {
         node_id: NodeId,
         call: RpcCall,
     ) -> Result<(ProcessOutcome, ExchangeStats), SimError> {
-        let provider = self
-            .nodes
-            .get(node_id.0)
-            .ok_or(SimError::UnknownNode(node_id.0))?
-            .address();
-        let deadline_us = self.call_deadline_us;
-        let effect = self.fault_effect(node_id.0);
-        match effect {
-            FaultEffect::Crashed => {
-                // Connection refused: the attempt costs one one-way hop.
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.clock_us += self.latency.one_way_us(64);
-                return Err(SimError::Crashed(provider));
-            }
-            FaultEffect::Partitioned => {
-                // The request vanishes into the partition; the caller's
-                // deadline burns in full.
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.note_timeout();
-                self.clock_us += deadline_us;
-                return Err(SimError::Timeout {
-                    provider,
-                    deadline_us,
-                });
-            }
-            _ => {}
-        }
-        let request = client.request_from(provider, call)?;
-        self.provider_entry(provider).record_call();
-        if effect == FaultEffect::Drop {
-            // The signed request was lost in flight: the client waits
-            // out its deadline, then abandons the in-flight entry (a
-            // retry re-presents the same cumulative amount, so dropping
-            // it is payment-safe).
-            client.forget_pending(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        let trace_t0 = self.exchange_trace_start();
-        let started = self.time.start();
-        let mut response = match self.serve(node_id, &request) {
-            Ok(response) => response,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e);
-            }
-        };
-        let server_us = self.time.elapsed_us(started);
-        if let FaultEffect::Corrupt { nudge } = effect {
-            // Transport corruption: flip a payload byte *without*
-            // re-signing — the §V-D signature check downstream refuses
-            // the response instead of surfacing the flipped bytes.
-            fault::corrupt_response(&mut response, nudge);
-        }
-        // The client needs the header for res.m_B before verifying.
-        self.sync_client(client);
-        let request_bytes = request.encode().len();
-        let response_bytes = response.encode().len();
-        let proof_bytes = response.proof_bytes();
-        let mut network_us = self.latency.round_trip_us(request_bytes, response_bytes);
-        if let FaultEffect::Delay { added_us } = effect {
-            network_us += added_us;
-        }
-        if network_us + server_us > deadline_us {
-            // The response exists but arrived past the deadline: the
-            // client already walked away, so it is never classified.
-            client.forget_pending(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        self.clock_us += network_us + server_us;
-        // Scoped processing: the response arrived over this provider's
-        // connection, so pairing can never cross onto another channel.
-        let outcome = match client.process_response_from(provider, &response) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e.into());
-            }
-        };
-        let stats = ExchangeStats {
-            request_bytes,
-            response_bytes,
-            proof_bytes,
-            server_us,
-            network_us,
-        };
-        if let Some(t0) = trace_t0 {
-            let verdict = match &outcome {
-                ProcessOutcome::Valid { .. } => "valid",
-                ProcessOutcome::Invalid(_) => "invalid",
-                ProcessOutcome::Fraud(_) => "fraud",
-            };
-            self.trace_exchange(node_id, "call", 1, t0, &stats, verdict);
-        }
-        self.note_provider_outcome(
-            provider,
-            matches!(outcome, ProcessOutcome::Valid { .. }),
-            stats.latency_us(),
-        );
-        Ok((outcome, stats))
+        self.exchange::<ParpRequest>(client, node_id, call)
     }
 
     /// One full **batched** PARP exchange: the client signs N calls once,
@@ -1026,419 +916,178 @@ impl Network {
         node_id: NodeId,
         calls: Vec<RpcCall>,
     ) -> Result<(ProcessBatchOutcome, ExchangeStats), SimError> {
-        let provider = self
-            .nodes
-            .get(node_id.0)
-            .ok_or(SimError::UnknownNode(node_id.0))?
-            .address();
-        let batch_size = calls.len() as u64;
-        let deadline_us = self.call_deadline_us;
-        let effect = self.fault_effect(node_id.0);
-        match effect {
-            FaultEffect::Crashed => {
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.clock_us += self.latency.one_way_us(64);
-                return Err(SimError::Crashed(provider));
-            }
-            FaultEffect::Partitioned => {
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.note_timeout();
-                self.clock_us += deadline_us;
-                return Err(SimError::Timeout {
-                    provider,
-                    deadline_us,
-                });
-            }
-            _ => {}
+        self.exchange::<ParpBatchRequest>(client, node_id, calls)
+    }
+
+    /// Fans one call out to several providers — the transport the
+    /// gateway's quorum reads ride on. Per-leg results come back in
+    /// input order.
+    ///
+    /// Each leg is the same inline pipeline as [`Network::parp_call`],
+    /// run in input order, so the legs match as many single calls on a
+    /// twin network in outcome, bytes and [`ExchangeStats`]. The legs
+    /// model concurrent flights: the simulated clock advances by the
+    /// **slowest leg**, not the sum, and every leg's trace span starts
+    /// where the fan-out does.
+    pub fn parp_call_fanout(
+        &mut self,
+        client: &mut LightClient,
+        legs: &[(NodeId, RpcCall)],
+    ) -> Vec<Result<(ProcessOutcome, ExchangeStats), SimError>> {
+        let mut makespan_us = 0u64;
+        let mut results = Vec::with_capacity(legs.len());
+        for (node_id, call) in legs {
+            let (result, leg_us) = self.leg::<ParpRequest>(client, *node_id, call.clone(), true);
+            makespan_us = makespan_us.max(leg_us);
+            results.push(result);
         }
-        let request = client.request_batch_from(provider, calls)?;
+        self.clock_us += makespan_us;
+        results
+    }
+
+    /// A standalone exchange: one leg, its whole flight charged to the
+    /// simulated clock.
+    fn exchange<L: Leg>(
+        &mut self,
+        client: &mut LightClient,
+        node_id: NodeId,
+        payload: L::Payload,
+    ) -> LegResult<L> {
+        let (result, leg_us) = self.leg::<L>(client, node_id, payload, false);
+        self.clock_us += leg_us;
+        result
+    }
+
+    /// The one exchange pipeline behind every entry point: fault →
+    /// build → serve → response fault → deadline → sync → classify →
+    /// account and trace. Returns the leg's result and the simulated
+    /// time it occupied; the caller charges that to the clock.
+    ///
+    /// Every leg against a known node counts one call for its provider,
+    /// and every end other than a `valid` verdict counts one failure.
+    fn leg<L: Leg>(
+        &mut self,
+        client: &mut LightClient,
+        node_id: NodeId,
+        payload: L::Payload,
+        fanout: bool,
+    ) -> (LegResult<L>, u64) {
+        let Some(provider) = self.nodes.get(node_id.0).map(FullNode::address) else {
+            return (Err(SimError::UnknownNode(node_id.0)), 0);
+        };
         self.provider_entry(provider).record_call();
-        if effect == FaultEffect::Drop {
-            client.forget_pending_batch(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
+        let calls = L::calls(&payload);
+        let trace_t0 = self.exchange_trace_start();
+        let (result, leg_us) = self.fly::<L>(client, node_id, provider, payload);
+        match &result {
+            Ok((outcome, stats)) => {
+                let verdict = L::verdict(outcome);
+                match trace_t0 {
+                    Some(t0) if fanout => self.trace_fanout_leg(node_id, t0, stats, verdict),
+                    Some(t0) => self.trace_exchange(node_id, L::KIND, calls, t0, stats, verdict),
+                    None => {}
+                }
+                self.note_provider_outcome(provider, verdict == "valid", stats.latency_us());
+            }
+            Err(e) => {
+                if matches!(e, SimError::Timeout { .. }) {
+                    self.note_timeout();
+                }
+                self.note_provider_failure(provider);
+            }
+        }
+        (result, leg_us)
+    }
+
+    /// The transport half of [`Network::leg`]: everything from the
+    /// fault draw to the client's classification.
+    fn fly<L: Leg>(
+        &mut self,
+        client: &mut LightClient,
+        node_id: NodeId,
+        provider: Address,
+        payload: L::Payload,
+    ) -> (LegResult<L>, u64) {
+        let deadline_us = self.call_deadline_us;
+        let timed_out = || {
+            Err(SimError::Timeout {
                 provider,
                 deadline_us,
-            });
+            })
+        };
+        let effect = self.fault_effect(node_id.0);
+        match effect {
+            // Connection refused: the attempt costs one one-way hop.
+            FaultEffect::Crashed => {
+                return (
+                    Err(SimError::Crashed(provider)),
+                    self.latency.one_way_us(64),
+                )
+            }
+            // The request vanishes into the partition; the caller's
+            // deadline burns in full.
+            FaultEffect::Partitioned => return (timed_out(), deadline_us),
+            _ => {}
         }
-        let trace_t0 = self.exchange_trace_start();
+        let request = match L::build(client, provider, payload) {
+            Ok(request) => request,
+            Err(e) => return (Err(e.into()), 0),
+        };
+        if effect == FaultEffect::Drop {
+            // The signed request was lost before the provider saw it:
+            // the client waits out its deadline and abandons the entry
+            // (a retry re-presents the same cumulative amount).
+            client.forget_pending(provider, &request.hash());
+            return (timed_out(), deadline_us);
+        }
         let started = self.time.start();
-        let mut response = match self.serve_batch(node_id, &request) {
+        let mut response = match L::serve(self, node_id, &request) {
             Ok(response) => response,
             Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e);
+                // Refused, so never charged: nothing stays in flight.
+                client.forget_pending(provider, &request.hash());
+                return (Err(e), 0);
             }
         };
         let server_us = self.time.elapsed_us(started);
         if let FaultEffect::Corrupt { nudge } = effect {
-            fault::corrupt_batch_response(&mut response, nudge);
+            // Transport corruption: flip a payload byte *without*
+            // re-signing — the §V-D signature check downstream refuses
+            // the response instead of surfacing the flipped bytes.
+            L::corrupt(&mut response, nudge);
         }
-        // The client needs the header for res.m_B before verifying.
-        self.sync_client(client);
-        let request_bytes = request.encode().len();
-        let response_bytes = response.encode().len();
-        let proof_bytes = response.proof_bytes();
-        let mut network_us = self.latency.round_trip_us(request_bytes, response_bytes);
-        if let FaultEffect::Delay { added_us } = effect {
-            network_us += added_us;
-        }
-        if network_us + server_us > deadline_us {
-            client.forget_pending_batch(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        self.clock_us += network_us + server_us;
-        // Scoped processing: the response arrived over this provider's
-        // connection, so pairing can never cross onto another channel.
-        let outcome = match client.process_batch_response_from(provider, &response) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e.into());
-            }
+        let [request_bytes, response_bytes, proof_bytes] = request.wire(&response);
+        let delay_us = match effect {
+            FaultEffect::Delay { added_us } => added_us,
+            _ => 0,
         };
         let stats = ExchangeStats {
             request_bytes,
             response_bytes,
             proof_bytes,
             server_us,
-            network_us,
+            network_us: self.latency.round_trip_us(request_bytes, response_bytes) + delay_us,
         };
-        if let Some(t0) = trace_t0 {
-            let verdict = match &outcome {
-                ProcessBatchOutcome::Valid { .. } => "valid",
-                ProcessBatchOutcome::Invalid(_) => "invalid",
-                ProcessBatchOutcome::Fraud { .. } => "fraud",
-            };
-            self.trace_exchange(node_id, "batch", batch_size, t0, &stats, verdict);
+        if stats.latency_us() > deadline_us {
+            // Served, but the response arrived past the deadline and the
+            // client walked away without classifying it. The provider
+            // holds σ_pay for the amount either way, so the client counts
+            // it spent: a retry offers the next amount, not a replay the
+            // provider would refuse.
+            client.commit_undelivered(provider, &request.hash());
+            return (timed_out(), deadline_us);
         }
-        self.note_provider_outcome(
-            provider,
-            matches!(outcome, ProcessBatchOutcome::Valid { .. }),
-            stats.latency_us(),
-        );
-        Ok((outcome, stats))
-    }
-
-    /// Fans one call out to several providers **concurrently** — the
-    /// transport the gateway's quorum reads ride on. Per-leg results
-    /// come back in input order.
-    ///
-    /// Request building and ledger updates stay sequential (they mutate
-    /// the client), but the expensive middle of every leg runs in
-    /// parallel across scoped worker threads (the `parp-runtime` shard
-    /// idiom):
-    ///
-    /// * **serving** — each leg's node runs request verification (two
-    ///   signature recoveries), proof generation off the shared
-    ///   `Arc`-frozen head trie, and response signing on its own worker
-    ///   over one `&Blockchain` (read-only calls never mutate the
-    ///   chain, enforced by [`FullNode::handle_read_request`]);
-    /// * **client verification** — the §V-D classifications fan out via
-    ///   [`LightClient::process_responses_from`].
-    ///
-    /// Because the legs fly concurrently, the simulated clock advances
-    /// by the **slowest leg**, not the sum — the serial fan-out this
-    /// replaces paid the sum.
-    ///
-    /// Falls back to sequential serving (still with parallel
-    /// classification) when a leg carries a write, node ids repeat, or
-    /// the host has a single core. Responses are byte-identical either
-    /// way.
-    pub fn parp_call_fanout(
-        &mut self,
-        client: &mut LightClient,
-        legs: &[(NodeId, RpcCall)],
-    ) -> Vec<Result<(ProcessOutcome, ExchangeStats), SimError>> {
-        let trace_t0 = self.exchange_trace_start();
-        let deadline_us = self.call_deadline_us;
-        // Phase 1 (sequential): draw each leg's fault, then build one
-        // signed request per deliverable leg. Fault decisions are drawn
-        // here, before any parallel serving, so the schedule stays
-        // deterministic whatever the worker interleaving.
-        let mut requests: Vec<Result<(Address, ParpRequest), SimError>> = Vec::new();
-        let mut effects: Vec<FaultEffect> = Vec::with_capacity(legs.len());
-        // Makespan charged by legs that never produce stats: crashed
-        // and timed-out legs still occupy the concurrent window.
-        let mut error_makespan_us = 0u64;
-        for (node_id, call) in legs {
-            let provider = match self.nodes.get(node_id.0) {
-                None => {
-                    effects.push(FaultEffect::None);
-                    requests.push(Err(SimError::UnknownNode(node_id.0)));
-                    continue;
-                }
-                Some(node) => node.address(),
-            };
-            self.provider_entry(provider).record_call();
-            let effect = self.fault_effect(node_id.0);
-            let built = match effect {
-                FaultEffect::Crashed => {
-                    self.note_provider_failure(provider);
-                    error_makespan_us = error_makespan_us.max(self.latency.one_way_us(64));
-                    Err(SimError::Crashed(provider))
-                }
-                FaultEffect::Partitioned => {
-                    self.note_provider_failure(provider);
-                    self.note_timeout();
-                    error_makespan_us = error_makespan_us.max(deadline_us);
-                    Err(SimError::Timeout {
-                        provider,
-                        deadline_us,
-                    })
-                }
-                _ => match client.request_from(provider, call.clone()) {
-                    Ok(request) => Ok((provider, request)),
-                    Err(e) => {
-                        self.note_provider_failure(provider);
-                        Err(e.into())
-                    }
-                },
-            };
-            effects.push(effect);
-            requests.push(built);
-        }
-        // Phase 2: serve every buildable leg.
-        let parallel_ok = legs.len() > 1
-            && legs
-                .iter()
-                .all(|(_, call)| !matches!(call, RpcCall::SendRawTransaction { .. }))
-            && {
-                let mut seen = HashSet::new();
-                legs.iter().all(|(id, _)| seen.insert(id.0))
-            }
-            && std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                > 1;
-        let mut served: Vec<Option<(ParpResponse, u64)>> = vec![None; legs.len()];
-        let mut serve_errors: Vec<Option<SimError>> = Vec::new();
-        serve_errors.resize_with(legs.len(), || None);
-        if parallel_ok {
-            // One &mut moment resolves the shared frozen head trie; the
-            // legs then serve over disjoint &mut nodes + one &chain.
-            let engine = self.runtime.read_engine(&self.chain);
-            let clock = self.time.clone();
-            let Network {
-                nodes,
-                chain,
-                executor,
-                ..
-            } = &mut *self;
-            let chain = &*chain;
-            let executor = &*executor;
-            let mut node_slots: HashMap<usize, &mut FullNode> = nodes
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| legs.iter().any(|(id, _)| id.0 == *i))
-                .collect();
-            let mut worker_results: Vec<(usize, Result<ParpResponse, ServeError>, u64)> =
-                Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (index, built) in requests.iter().enumerate() {
-                    let Ok((_, request)) = built else { continue };
-                    let node = node_slots
-                        .remove(&legs[index].0 .0)
-                        .expect("distinct leg nodes");
-                    let mut engine = engine.clone();
-                    let clock = clock.clone();
-                    handles.push(scope.spawn(move || {
-                        let started = clock.start();
-                        let outcome =
-                            node.handle_read_request(request, chain, executor, &mut engine);
-                        (index, outcome, clock.elapsed_us(started))
-                    }));
-                }
-                worker_results = handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("serve worker panicked"))
-                    .collect();
-            });
-            for (index, outcome, server_us) in worker_results {
-                match outcome {
-                    Ok(response) => served[index] = Some((response, server_us)),
-                    Err(e) => serve_errors[index] = Some(SimError::Serve(e)),
-                }
-            }
-        } else {
-            for (index, built) in requests.iter().enumerate() {
-                let Ok((_, request)) = built else { continue };
-                let started = self.time.start();
-                match self.serve(legs[index].0, request) {
-                    Ok(response) => {
-                        served[index] = Some((response, self.time.elapsed_us(started)));
-                    }
-                    Err(e) => serve_errors[index] = Some(e),
-                }
-            }
-        }
-        // Phase 2.5 (sequential): response-path transport faults.
-        // Corruption flips a byte in the served frame (signature left
-        // untouched, so classification catches it); drops and
-        // over-deadline delays turn served legs into timeouts before
-        // the client ever sees the response, so its payment ledger is
-        // never advanced by them.
-        let mut extra_delay_us: Vec<u64> = vec![0; legs.len()];
-        for index in 0..legs.len() {
-            let Ok((provider, request)) = &requests[index] else {
-                continue;
-            };
-            let provider = *provider;
-            let effect = effects[index];
-            match effect {
-                FaultEffect::Corrupt { nudge } => {
-                    if let Some((response, _)) = served[index].as_mut() {
-                        fault::corrupt_response(response, nudge);
-                    }
-                }
-                FaultEffect::Drop => {
-                    if served[index].take().is_some() {
-                        client.forget_pending(provider, &request.request_hash);
-                        self.note_timeout();
-                        error_makespan_us = error_makespan_us.max(deadline_us);
-                        serve_errors[index] = Some(SimError::Timeout {
-                            provider,
-                            deadline_us,
-                        });
-                    }
-                }
-                FaultEffect::None | FaultEffect::Delay { .. } => {
-                    let added_us = match effect {
-                        FaultEffect::Delay { added_us } => added_us,
-                        _ => 0,
-                    };
-                    if let Some((response, server_us)) = served[index].as_ref() {
-                        let request_bytes = request.encode().len();
-                        let response_bytes = response.encode().len();
-                        let leg_us = self.latency.round_trip_us(request_bytes, response_bytes)
-                            + added_us
-                            + server_us;
-                        if leg_us > deadline_us {
-                            served[index] = None;
-                            client.forget_pending(provider, &request.request_hash);
-                            self.note_timeout();
-                            error_makespan_us = error_makespan_us.max(deadline_us);
-                            serve_errors[index] = Some(SimError::Timeout {
-                                provider,
-                                deadline_us,
-                            });
-                        } else {
-                            extra_delay_us[index] = added_us;
-                        }
-                    }
-                }
-                FaultEffect::Crashed | FaultEffect::Partitioned => {}
-            }
-        }
-        // The client needs headers for every served res.m_B.
+        // The client needs the header for res.m_B before verifying.
         self.sync_client(client);
-        // Phase 3: classify all served legs in parallel (one clone per
-        // served response — it moves into the processing list).
-        let process_legs: Vec<(Address, ParpResponse)> = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(index, built)| {
-                let Ok((provider, _)) = built else {
-                    return None;
-                };
-                served[index]
-                    .as_ref()
-                    .map(|(response, _)| (*provider, response.clone()))
-            })
-            .collect();
-        let mut outcomes = client.process_responses_from(&process_legs).into_iter();
-        // Phase 4 (sequential): stats, clock (max over concurrent legs),
-        // and per-leg results in input order.
-        let mut results: Vec<Result<(ProcessOutcome, ExchangeStats), SimError>> = Vec::new();
-        let mut slowest_leg_us = 0u64;
-        for (index, built) in requests.into_iter().enumerate() {
-            let result = match built {
-                Err(e) => Err(e),
-                Ok((provider, request)) => {
-                    if let Some(e) = serve_errors[index].take() {
-                        self.note_provider_failure(provider);
-                        Err(e)
-                    } else {
-                        let (response, server_us) = served[index].take().expect("leg served");
-                        let request_bytes = request.encode().len();
-                        let response_bytes = response.encode().len();
-                        let stats = ExchangeStats {
-                            request_bytes,
-                            response_bytes,
-                            proof_bytes: response.proof_bytes(),
-                            server_us,
-                            network_us: self.latency.round_trip_us(request_bytes, response_bytes)
-                                + extra_delay_us[index],
-                        };
-                        // Every served leg flew its round trip, whatever
-                        // the client concludes about the payload — it
-                        // counts toward the concurrent batch's makespan
-                        // (the serial path charges it too).
-                        slowest_leg_us = slowest_leg_us.max(stats.latency_us());
-                        let outcome = outcomes.next().expect("one outcome per served leg");
-                        match outcome {
-                            Err(e) => {
-                                self.note_provider_failure(provider);
-                                Err(e.into())
-                            }
-                            Ok(outcome) => {
-                                if let (Some(t0), Some(telemetry)) = (trace_t0, &self.telemetry) {
-                                    // Concurrent legs share the window
-                                    // [t0, t0 + slowest]; each leg's
-                                    // span lives on its provider track.
-                                    let verdict = match &outcome {
-                                        ProcessOutcome::Valid { .. } => "valid",
-                                        ProcessOutcome::Invalid(_) => "invalid",
-                                        ProcessOutcome::Fraud(_) => "fraud",
-                                    };
-                                    telemetry.tracer.span(
-                                        "quorum_leg",
-                                        "net",
-                                        t0,
-                                        stats.latency_us(),
-                                        legs[index].0 .0 as u32 + 1,
-                                        vec![
-                                            (
-                                                "server_us".to_string(),
-                                                ArgValue::U64(stats.server_us),
-                                            ),
-                                            (
-                                                "network_us".to_string(),
-                                                ArgValue::U64(stats.network_us),
-                                            ),
-                                            (
-                                                "verdict".to_string(),
-                                                ArgValue::Str(verdict.to_string()),
-                                            ),
-                                        ],
-                                    );
-                                }
-                                self.note_provider_outcome(
-                                    provider,
-                                    matches!(outcome, ProcessOutcome::Valid { .. }),
-                                    stats.latency_us(),
-                                );
-                                Ok((outcome, stats))
-                            }
-                        }
-                    }
-                }
-            };
-            results.push(result);
-        }
-        self.clock_us += slowest_leg_us.max(error_makespan_us);
-        results
+        // Scoped processing: the response arrived over this provider's
+        // connection, so pairing can never cross onto another channel.
+        let outcome = L::process(client, provider, &response);
+        (
+            outcome
+                .map(|outcome| (outcome, stats))
+                .map_err(SimError::from),
+            stats.latency_us(),
+        )
     }
 
     /// When tracing is live, drains stale stage timings (so the coming
@@ -1566,6 +1215,26 @@ impl Network {
             }
             offset += dur;
         }
+    }
+
+    /// Emits one fan-out leg as a `quorum_leg` span on its provider's
+    /// track: concurrent legs share the window `[t0, t0 + slowest]`.
+    fn trace_fanout_leg(&self, node_id: NodeId, t0: u64, stats: &ExchangeStats, verdict: &str) {
+        let Some(telemetry) = &self.telemetry else {
+            return;
+        };
+        telemetry.tracer.span(
+            "quorum_leg",
+            "net",
+            t0,
+            stats.latency_us(),
+            node_id.0 as u32 + 1,
+            vec![
+                ("server_us".to_string(), ArgValue::U64(stats.server_us)),
+                ("network_us".to_string(), ArgValue::U64(stats.network_us)),
+                ("verdict".to_string(), ArgValue::Str(verdict.to_string())),
+            ],
+        );
     }
 
     /// Records a completed exchange in the provider's aggregate and
@@ -1723,6 +1392,161 @@ impl Network {
         let witness_addr = witness.address();
         let call = evidence.to_module_call(witness_addr);
         self.submit_module_call(&witness_key, call, U256::ZERO)
+    }
+}
+
+/// A leg's result: the client's verdict and the exchange's statistics.
+type LegResult<L> = Result<(<L as Leg>::Outcome, ExchangeStats), SimError>;
+
+/// The two exchange shapes [`Network::leg`] carries: a single call
+/// ([`ParpRequest`]) and a batch ([`ParpBatchRequest`]). Each method is
+/// one step of the pipeline that differs between the shapes.
+trait Leg: Sized {
+    /// What the client asks for: one call, or the batch's calls.
+    type Payload;
+    type Response;
+    type Outcome;
+    /// Trace label of a standalone exchange of this shape.
+    const KIND: &'static str;
+
+    /// Calls the payload carries.
+    fn calls(payload: &Self::Payload) -> u64;
+    fn build(
+        client: &mut LightClient,
+        provider: Address,
+        payload: Self::Payload,
+    ) -> Result<Self, ClientError>;
+    /// The hash the client's in-flight entry is keyed by.
+    fn hash(&self) -> H256;
+    fn serve(
+        net: &mut Network,
+        node_id: NodeId,
+        request: &Self,
+    ) -> Result<Self::Response, SimError>;
+    fn corrupt(response: &mut Self::Response, nudge: u64);
+    /// Request, response and proof bytes on the wire, each message
+    /// encoded once.
+    fn wire(&self, response: &Self::Response) -> [usize; 3];
+    fn process(
+        client: &mut LightClient,
+        provider: Address,
+        response: &Self::Response,
+    ) -> Result<Self::Outcome, ClientError>;
+    /// `"valid"`, `"invalid"` or `"fraud"`.
+    fn verdict(outcome: &Self::Outcome) -> &'static str;
+}
+
+impl Leg for ParpRequest {
+    type Payload = RpcCall;
+    type Response = ParpResponse;
+    type Outcome = ProcessOutcome;
+    const KIND: &'static str = "call";
+
+    fn calls(_: &RpcCall) -> u64 {
+        1
+    }
+
+    fn build(
+        client: &mut LightClient,
+        provider: Address,
+        call: RpcCall,
+    ) -> Result<Self, ClientError> {
+        client.request_from(provider, call)
+    }
+
+    fn hash(&self) -> H256 {
+        self.request_hash
+    }
+
+    fn serve(net: &mut Network, node_id: NodeId, request: &Self) -> Result<ParpResponse, SimError> {
+        net.serve(node_id, request)
+    }
+
+    fn corrupt(response: &mut ParpResponse, nudge: u64) {
+        fault::corrupt_response(response, nudge);
+    }
+
+    fn wire(&self, response: &ParpResponse) -> [usize; 3] {
+        [
+            self.encode().len(),
+            response.encode().len(),
+            response.proof_bytes(),
+        ]
+    }
+
+    fn process(
+        client: &mut LightClient,
+        provider: Address,
+        response: &ParpResponse,
+    ) -> Result<ProcessOutcome, ClientError> {
+        client.process_response_from(provider, response)
+    }
+
+    fn verdict(outcome: &ProcessOutcome) -> &'static str {
+        match outcome {
+            ProcessOutcome::Valid { .. } => "valid",
+            ProcessOutcome::Invalid(_) => "invalid",
+            ProcessOutcome::Fraud(_) => "fraud",
+        }
+    }
+}
+
+impl Leg for ParpBatchRequest {
+    type Payload = Vec<RpcCall>;
+    type Response = ParpBatchResponse;
+    type Outcome = ProcessBatchOutcome;
+    const KIND: &'static str = "batch";
+
+    fn calls(calls: &Vec<RpcCall>) -> u64 {
+        calls.len() as u64
+    }
+
+    fn build(
+        client: &mut LightClient,
+        provider: Address,
+        calls: Vec<RpcCall>,
+    ) -> Result<Self, ClientError> {
+        client.request_batch_from(provider, calls)
+    }
+
+    fn hash(&self) -> H256 {
+        self.request_hash
+    }
+
+    fn serve(
+        net: &mut Network,
+        node_id: NodeId,
+        request: &Self,
+    ) -> Result<ParpBatchResponse, SimError> {
+        net.serve_batch(node_id, request)
+    }
+
+    fn corrupt(response: &mut ParpBatchResponse, nudge: u64) {
+        fault::corrupt_batch_response(response, nudge);
+    }
+
+    fn wire(&self, response: &ParpBatchResponse) -> [usize; 3] {
+        [
+            self.encode().len(),
+            response.encode().len(),
+            response.proof_bytes(),
+        ]
+    }
+
+    fn process(
+        client: &mut LightClient,
+        provider: Address,
+        response: &ParpBatchResponse,
+    ) -> Result<ProcessBatchOutcome, ClientError> {
+        client.process_batch_response_from(provider, response)
+    }
+
+    fn verdict(outcome: &ProcessBatchOutcome) -> &'static str {
+        match outcome {
+            ProcessBatchOutcome::Valid { .. } => "valid",
+            ProcessBatchOutcome::Invalid(_) => "invalid",
+            ProcessBatchOutcome::Fraud { .. } => "fraud",
+        }
     }
 }
 

@@ -61,7 +61,7 @@ mod tiered;
 
 pub use admission::{AdmissionController, AdmissionError, AdmissionStats, FairQueue, TokenBucket};
 pub use cache::SnapshotCache;
-pub use runtime::{FrozenReadEngine, Runtime, RuntimeConfig, RuntimeError};
+pub use runtime::{Runtime, RuntimeConfig, RuntimeError};
 pub use shard::{
     shard_of, sharded_account_multiproof, sharded_account_multiproof_into, INLINE_THRESHOLD,
     MAX_SHARDS,

@@ -441,20 +441,6 @@ impl Runtime {
         response
     }
 
-    /// A self-contained **read-only** proof engine over the cached head
-    /// snapshot: the hook a fan-out uses to serve several read legs
-    /// concurrently. The one `&mut` moment (resolving the `Arc`-shared
-    /// frozen trie out of the cache) happens here; the returned engine
-    /// is then independent of the runtime, so each worker thread owns
-    /// one while the runtime stays untouched. Proofs are byte-identical
-    /// to the cached sequential path — same frozen trie, same walk.
-    pub fn read_engine(&mut self, chain: &Blockchain) -> FrozenReadEngine {
-        let state = chain.state_at(chain.height()).expect("head state exists");
-        FrozenReadEngine {
-            trie: self.cache.get_or_build(state),
-        }
-    }
-
     /// Invalidation hook for `Blockchain::mine` (and reorgs): drops
     /// cached tries whose roots are no longer reachable from the
     /// canonical chain's recent history, then warms the cache with the
@@ -470,35 +456,6 @@ impl Runtime {
         if let Some(state) = chain.state_at(head) {
             self.cache.get_or_build(state);
         }
-    }
-}
-
-/// A detached read-only [`ProofEngine`] over one `Arc`-shared frozen
-/// snapshot trie (see [`Runtime::read_engine`]). State proofs walk the
-/// shared trie; inclusion proofs fall back to the default per-lookup
-/// rebuild (correct, uncached — concurrent read legs are single-call
-/// exchanges, which rarely touch historical tries).
-#[derive(Debug, Clone)]
-pub struct FrozenReadEngine {
-    trie: Arc<FrozenTrie>,
-}
-
-impl ProofEngine for FrozenReadEngine {
-    fn account_multiproof(&mut self, _state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        sharded_account_multiproof(&self.trie, addresses, 1)
-    }
-
-    fn account_multiproof_into(
-        &mut self,
-        _state: &State,
-        addresses: &[Address],
-        out: &mut ProofBuf,
-    ) {
-        sharded_account_multiproof_into(&self.trie, addresses, 1, out);
-    }
-
-    fn account_proof(&mut self, _state: &State, address: &Address) -> Vec<Vec<u8>> {
-        self.trie.prove(keccak256(address.as_bytes()).as_bytes())
     }
 }
 

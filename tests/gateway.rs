@@ -8,7 +8,7 @@ use parp_suite::contracts::RpcCall;
 use parp_suite::gateway::{
     FailoverCause, Gateway, GatewayConfig, MarketplaceConfig, SelectionPolicy,
 };
-use parp_suite::net::Network;
+use parp_suite::net::{FaultConfig, Network, ProviderFaultRates};
 use parp_suite::primitives::{Address, H256, U256};
 use proptest::prelude::*;
 
@@ -162,6 +162,68 @@ fn failover_after_slash_accepts_nothing_invalid_and_keeps_payments_monotone() {
     for trail in gateway.payment_trajectories().values() {
         assert!(trail.windows(2).all(|w| w[0] <= w[1]));
     }
+}
+
+/// Batches ride the same failover loop and outcome router as single
+/// calls: a forged batch is proven and slashed, a dropped batch fails
+/// over without an in-place retry, and the replay on the next provider
+/// returns the ground truth.
+#[test]
+fn batch_failover_routes_fraud_and_timeouts_like_single_calls() {
+    let (mut net, targets, _) = marketplace_net(3, "batch");
+    let mut gateway = gateway_for(&mut net, b"gwt-batch-client", SelectionPolicy::Cheapest);
+    let calls: Vec<RpcCall> = targets
+        .iter()
+        .map(|t| RpcCall::GetBalance { address: *t })
+        .collect();
+    let expected: Vec<Vec<u8>> = targets
+        .iter()
+        .map(|t| {
+            net.chain()
+                .state()
+                .account(t)
+                .map(parp_suite::chain::Account::encode)
+                .unwrap_or_default()
+        })
+        .collect();
+
+    let cheapest = gateway_probe_cheapest(&mut gateway, &net);
+    let cheapest_id = net.node_id_by_address(&cheapest).unwrap();
+    net.node_mut(cheapest_id)
+        .set_misbehavior(parp_suite::core::Misbehavior::ForgedResult);
+    let results = gateway.call_batch(&mut net, calls.clone()).unwrap();
+    assert_eq!(results, expected);
+    assert_eq!(gateway.calls_served(), targets.len() as u64);
+    assert_eq!(gateway.fraud_proofs_submitted(), 1);
+    let [fraud] = gateway.failovers() else {
+        panic!("one failover expected: {:?}", gateway.failovers());
+    };
+    assert!(matches!(fraud.cause, FailoverCause::Fraud(_)) && fraud.slashed);
+    assert_eq!(fraud.failed_provider, cheapest);
+
+    // The next cheapest provider now drops every exchange.
+    let second = gateway_probe_cheapest(&mut gateway, &net);
+    let second_id = net.node_id_by_address(&second).unwrap();
+    net.install_fault_plane(FaultConfig {
+        overrides: vec![ProviderFaultRates {
+            provider_index: second_id.0,
+            drop_ppm: 1_000_000,
+            corrupt_ppm: 0,
+            delay_ppm: 0,
+        }],
+        ..FaultConfig::default()
+    });
+    let results = gateway.call_batch(&mut net, calls).unwrap();
+    assert_eq!(results, expected);
+    assert_eq!(
+        gateway.retries(),
+        0,
+        "batches fail over, never retry in place"
+    );
+    let timeout = gateway.failovers().last().unwrap();
+    assert_eq!(timeout.cause, FailoverCause::Timeout);
+    assert_eq!(timeout.failed_provider, second);
+    assert!(gateway.payments_monotone());
 }
 
 /// Reads the cheapest provider the gateway would select, without
